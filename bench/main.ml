@@ -553,8 +553,8 @@ let compact_core_bench sizes =
   section "Compact core: legacy Path_enum vs Compact+Bitset (MA sweep)";
   Format.fprintf fmt "%-6s %7s %11s %11s %12s %9s  %s@." "size" "srcs"
     "freeze (s)" "legacy (s)" "compact (s)" "speedup" "equal";
-  List.iter
-    (fun (label, n_transit, n_stub, sample) ->
+  List.fold_left
+    (fun ok (label, n_transit, n_stub, sample) ->
       let params = { Gen.default_params with Gen.n_transit; Gen.n_stub } in
       let g = Gen.graph (Gen.generate ~params ~seed:42 ()) in
       let c, t_freeze = time (fun () -> Compact.freeze g) in
@@ -584,10 +584,12 @@ let compact_core_bench sizes =
                   d + Bitset.cardinal (Path_enum_compact.dest_set m) ))
               (0, 0) sources)
       in
+      let equal = legacy = compact in
       Format.fprintf fmt "%-6s %7d %11.3f %11.3f %12.3f %8.2fx  %b@." label
         (List.length sources) t_freeze t_legacy t_compact
-        (t_legacy /. t_compact) (legacy = compact))
-    sizes
+        (t_legacy /. t_compact) equal;
+      ok && equal)
+    true sizes
 
 let compact_jobs_check ~n_transit ~n_stub () =
   section "Compact core: Diversity --jobs 1 vs --jobs 4 over one frozen view";
@@ -605,15 +607,21 @@ let compact_jobs_check ~n_transit ~n_stub () =
     Pan_runner.Pool.with_pool ~domains:4 (fun pool ->
         time (fun () -> fingerprint (Some pool)))
   in
+  let ok = seq = par in
   Format.fprintf fmt
     "sequential %.3f s, 4 domains %.3f s (%.2fx); identical: %b@." t_seq t_par
-    (t_seq /. t_par) (seq = par)
+    (t_seq /. t_par) ok;
+  ok
 
+(* [legacy = compact] at every size and [seq = par]. *)
 let run_compact_core scale =
-  compact_core_bench (compact_sizes scale);
-  match scale with
-  | `Smoke -> compact_jobs_check ~n_transit:60 ~n_stub:928 ()
-  | `Full -> compact_jobs_check ~n_transit:500 ~n_stub:9488 ()
+  let ok_core = compact_core_bench (compact_sizes scale) in
+  let ok_jobs =
+    match scale with
+    | `Smoke -> compact_jobs_check ~n_transit:60 ~n_stub:928 ()
+    | `Full -> compact_jobs_check ~n_transit:500 ~n_stub:9488 ()
+  in
+  ok_core && ok_jobs
 
 (* ------------------------------------------------------------------ *)
 (* Part 7: BOSCO best-response kernel (lib/bosco Strategy/Workspace)   *)
@@ -1411,7 +1419,7 @@ let full_run () =
   ablation_asymmetric_distributions ();
   ablation_topology_density ();
   runner_scaling ();
-  run_compact_core `Smoke;
+  ignore (run_compact_core `Smoke : bool);
   ignore (run_bosco `Smoke : bool);
   ignore (run_econ ~scenarios:24 () : bool);
   ignore (run_topo_snapshot `Smoke : bool);
@@ -1427,8 +1435,8 @@ let full_run () =
 let () =
   (match if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" with
   | "all" -> full_run ()
-  | "topo" -> run_compact_core `Smoke
-  | "topo-full" -> run_compact_core `Full
+  | "topo" -> if not (run_compact_core `Smoke) then exit 1
+  | "topo-full" -> if not (run_compact_core `Full) then exit 1
   | "topo-snapshot" -> if not (run_topo_snapshot `Full) then exit 1
   | "topo-snapshot-smoke" -> if not (run_topo_snapshot `Smoke) then exit 1
   | "bosco" -> if not (run_bosco `Full) then exit 1

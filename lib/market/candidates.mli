@@ -12,8 +12,12 @@
     {!Pan_topology.Path_enum_compact.ma_gain} bitsets.
 
     Enumeration is pure over the immutable frozen view, so it fans out
-    over sources through the supervised runner; the result is
-    bit-identical for every pool size. *)
+    over sources through the supervised runner: each source keeps its
+    own best [max_candidates] in a bounded heap, and the coordinator
+    k-way merges those sorted runs.  Under the total order
+    {!compare_candidates} the global top K is a subset of the union of
+    the per-source top Ks, so the result is exact and bit-identical for
+    every pool size. *)
 
 open Pan_topology
 
@@ -29,8 +33,8 @@ val gains : Compact.t -> int -> int -> int * int
     MA gain sets ([Path_enum_compact.ma_gain] both ways). *)
 
 val compare_candidates : t -> t -> int
-(** Total gain descending, ties broken by ascending [(x, y)] — the order
-    {!enumerate} sorts and truncates under.  The gain sum saturates at
+(** Total gain descending, ties broken by ascending [x], then [y] — the
+    order {!enumerate} ranks and truncates under.  The gain sum saturates at
     [max_int]/[min_int] instead of wrapping, so the order stays total
     (antisymmetric, transitive) even for adversarial gain counts;
     saturated ties fall back to the pair order.  Pinned by a qcheck
@@ -51,4 +55,11 @@ val enumerate :
     pair, which removes it from — and generally reshapes — the next
     epoch's enumeration.  [retries]/[deadline] supervise the fan-out
     exactly as in {!Pan_runner.Task.map}.
+
+    Cost: a source with [P] candidates costs O(P log K), sources run in
+    parallel on per-domain generation-stamped scratch, and the merge
+    costs O(n + K log n) on the calling domain for [n] ASes, with
+    K = [max_candidates].  Only kept candidates outlive their source's
+    scan; the counter [market.candidates.enumerated] still reports the
+    total seen.
     @raise Invalid_argument if [min_gain < 1] or [max_candidates < 0]. *)

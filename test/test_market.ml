@@ -326,11 +326,127 @@ let qcheck_compare_candidates =
       (* transitivity across the triple *)
       && (not (cmp a b <= 0 && cmp b c <= 0) || cmp a c <= 0))
 
+(* ------------------------------------------------------------------ *)
+(* Per-source top-K + k-way merge ≡ the sort-everything oracle         *)
+
+(* The sort-everything enumeration: every candidate of every source is
+   materialized, the lists are concatenated, globally sorted and
+   truncated.  Returns the kept prefix and the number enumerated. *)
+let enumerate_reference ~min_gain ~max_candidates topo =
+  let n = Compact.num_ases topo in
+  let candidates_of_source x =
+    let seen = Bitset.create ~width:n in
+    let acc = ref [] in
+    let consider y =
+      if y > x && not (Bitset.mem seen y) then begin
+        Bitset.unsafe_add seen y;
+        if not (Compact.connected topo x y) then begin
+          let gx, gy = Candidates.gains topo x y in
+          if gx >= min_gain && gy >= min_gain then
+            acc := { Candidates.x; y; gain_x = gx; gain_y = gy } :: !acc
+        end
+      end
+    in
+    Compact.iter_neighbors topo x (fun m ->
+        Compact.iter_neighbors topo m consider);
+    !acc
+  in
+  let all =
+    List.init n candidates_of_source
+    |> List.concat
+    |> List.sort Candidates.compare_candidates
+    |> Array.of_list
+  in
+  let total = Array.length all in
+  (Array.sub all 0 (Int.min max_candidates total), total)
+
+(* Tie-heavy family: [providers] transit ASes in a peering clique, each
+   stub multi-homed to two of them.  With three providers every
+   stub–stub pair sharing a provider and every stub–foreign-provider
+   pair has total gain 4, so long runs of equal sums straddle any K. *)
+let tie_graph ~providers ~stubs seed =
+  let g = Graph.create () in
+  let asn = Asn.of_int in
+  for p = 1 to providers do
+    Graph.add_as g (asn p)
+  done;
+  for p = 1 to providers do
+    for q = p + 1 to providers do
+      Graph.add_peering g (asn p) (asn q)
+    done
+  done;
+  let rng = Random.State.make [| seed |] in
+  for s = 1 to stubs do
+    let a = Random.State.int rng providers in
+    let b = (a + 1 + Random.State.int rng (providers - 1)) mod providers in
+    List.iter
+      (fun p ->
+        Graph.add_provider_customer g ~provider:(asn (1 + p))
+          ~customer:(asn (1000 + s)))
+      [ a; b ]
+  done;
+  g
+
+(* [Candidates.enumerate] with its two counters read back. *)
+let enumerate_counted ?pool ?retries ~min_gain ~max_candidates topo =
+  Pan_obs.Obs.configure ~clock:(Pan_obs.Clock.virtual_ ()) ();
+  Fun.protect ~finally:Pan_obs.Obs.disable (fun () ->
+      let kept =
+        Candidates.enumerate ?pool ?retries ~min_gain ~max_candidates topo
+      in
+      let m = Pan_obs.Obs.metrics () in
+      let c = Pan_obs.Metrics.counter m in
+      (kept, c "market.candidates.enumerated", c "market.candidates.kept"))
+
+let qcheck_enumerate_oracle =
+  QCheck.Test.make ~count:12
+    ~name:
+      "candidates: top-K + merge = sort-everything oracle, every K, j=1/j=2, \
+       faults+retries"
+    QCheck.(
+      triple bool (int_range 1 1_000)
+        (pair (int_range 1 3) (pair (int_range 3 10) (int_range 10 60))))
+    (fun (ties, seed, (min_gain, (transit, stubs))) ->
+      let g =
+        if ties then tie_graph ~providers:(Int.min transit 4) ~stubs seed
+        else gen_graph ~n_transit:transit ~n_stub:stubs seed
+      in
+      let topo = Compact.freeze g in
+      let _, total = enumerate_reference ~min_gain ~max_candidates:0 topo in
+      let ks =
+        List.sort_uniq compare
+          [ 0; 1; 7; Int.max 0 (total - 1); total; total + 5; 4096 ]
+      in
+      Pool.with_pool ~domains:2 (fun pool ->
+          List.for_all
+            (fun max_candidates ->
+              let expect, _ =
+                enumerate_reference ~min_gain ~max_candidates topo
+              in
+              let agrees (kept, enumerated, n_kept) =
+                kept = expect && enumerated = total
+                && n_kept = Array.length expect
+              in
+              let run ?pool ?retries () =
+                enumerate_counted ?pool ?retries ~min_gain ~max_candidates topo
+              in
+              let faulty () =
+                Fault.set
+                  (Some
+                     { Fault.seed; rate = 0.3; delay = 0.0; delay_rate = 0.0 });
+                Fun.protect
+                  ~finally:(fun () -> Fault.set None)
+                  (fun () -> run ~pool ~retries:10 ())
+              in
+              agrees (run ()) && agrees (run ~pool ()) && agrees (faulty ()))
+            ks))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_jobs_equivalence;
     QCheck_alcotest.to_alcotest qcheck_fault_equivalence;
     QCheck_alcotest.to_alcotest qcheck_compare_candidates;
+    QCheck_alcotest.to_alcotest qcheck_enumerate_oracle;
     Alcotest.test_case "delta oracle across epochs" `Quick test_delta_oracle;
     Alcotest.test_case "agreements distinct across epochs" `Quick
       test_agreements_distinct;
