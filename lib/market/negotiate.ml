@@ -34,22 +34,25 @@ type outcome = {
 
 let forecast_levels = [| 0.25; 0.5; 0.75; 1.0 |]
 
-(* What [via] offers the gaining side: its providers and peers that are
-   not already customers of (or identical to) the gaining side — the
-   same filter as Path_enum_compact.ma_gain, classified back into grant
-   components so Agreement validation sees subsets of [via]'s actual
-   neighbor sets. *)
-let grant_for topo ~side ~via =
-  let asn i = Compact.id topo i in
+(* What [via] offers [side]: its providers, then its peers, that are
+   neither [side] itself nor already customers of [side] — the same
+   filter as Path_enum_compact.ma_gain. *)
+let offer topo ~side ~via =
   let keep z = z <> side && not (Compact.mem_customer topo side z) in
-  let providers = ref Asn.Set.empty and peers = ref Asn.Set.empty in
-  Compact.iter_providers topo via (fun z ->
-      if keep z then providers := Asn.Set.add (asn z) !providers);
-  Compact.iter_peers topo via (fun z ->
-      if keep z then peers := Asn.Set.add (asn z) !peers);
+  let row iter =
+    let acc = ref [] in
+    iter topo via (fun z -> if keep z then acc := z :: !acc);
+    List.rev !acc
+  in
+  (row Compact.iter_providers, row Compact.iter_peers)
+
+(* The offer classified into grant components, so Agreement validation
+   sees subsets of [via]'s actual neighbor sets. *)
+let grant_of_offer topo (providers, peers) =
+  let set l = Asn.Set.of_list (List.map (Compact.id topo) l) in
   {
-    Agreement.providers = !providers;
-    peers = !peers;
+    Agreement.providers = set providers;
+    peers = set peers;
     customers = Asn.Set.empty;
   }
 
@@ -67,46 +70,43 @@ let business_of ~seed g x =
   Business.of_graph ~default_transit:transit ~default_internal:internal
     ~stub_price:stub g x
 
-let baseline_of g x =
-  let entries =
-    Asn.Set.fold
-      (fun y acc ->
-        let v =
-          2.0 *. sqrt (float_of_int (Graph.degree g x * Graph.degree g y))
-        in
-        (y, v) :: acc)
-      (Graph.neighbors g x) []
-  in
-  let stub_volume = 4.0 +. float_of_int (Graph.degree g x) in
-  Flows.of_list ((Flows.stub x, stub_volume) :: entries)
+let baseline_of topo ix =
+  let dx = Compact.degree topo ix in
+  let stub_volume = 4.0 +. float_of_int dx in
+  let entries = ref [ (Flows.stub (Compact.id topo ix), stub_volume) ] in
+  Compact.iter_neighbors topo ix (fun iy ->
+      let v = 2.0 *. sqrt (float_of_int (dx * Compact.degree topo iy)) in
+      entries := (Compact.id topo iy, v) :: !entries);
+  Flows.of_list !entries
 
-(* Forecast demands for one side: the partner's providers first (the
-   headline MA case), then peers, in degree order. *)
-let demands_for ~rng ~max_demands g ~beneficiary ~transit ~granted =
-  let providers, peers =
-    Asn.Set.partition
-      (fun z -> Asn.Set.mem z (Graph.providers g transit))
-      granted
-  in
-  let by_degree set =
-    Asn.Set.elements set
-    |> List.map (fun z -> (Graph.degree g z, z))
-    |> List.sort (fun (d1, z1) (d2, z2) ->
-           match compare d2 d1 with 0 -> Asn.compare z1 z2 | c -> c)
-    |> List.map snd
+(* Forecast demands for one side from the transit's offer: its providers
+   first (the headline MA case), then its peers, each by degree
+   descending, ties by index ascending (= ASN ascending). *)
+let demands_for ~rng ~max_demands topo ~beneficiary ~transit (providers, peers)
+    =
+  let by_degree l =
+    List.sort
+      (fun a b ->
+        match Int.compare (Compact.degree topo b) (Compact.degree topo a) with
+        | 0 -> Int.compare a b
+        | c -> c)
+      l
   in
   let dests =
     by_degree providers @ by_degree peers
     |> List.filteri (fun i _ -> i < max_demands)
   in
-  let providers = Graph.providers g beneficiary in
+  let lowest = ref max_int in
+  Compact.iter_providers topo beneficiary (fun p ->
+      lowest := Int.min !lowest p);
   let reroute_from =
-    if Asn.Set.is_empty providers then None
-    else Some (Asn.Set.min_elt providers)
+    if !lowest = max_int then None else Some (Compact.id topo !lowest)
   in
   let provider_traffic =
-    4.0 *. sqrt (float_of_int (Graph.degree g beneficiary))
+    4.0 *. sqrt (float_of_int (Compact.degree topo beneficiary))
   in
+  let beneficiary = Compact.id topo beneficiary
+  and transit = Compact.id topo transit in
   List.map
     (fun z ->
       let share = Rng.uniform rng 0.05 0.3 in
@@ -117,7 +117,7 @@ let demands_for ~rng ~max_demands g ~beneficiary ~transit ~granted =
         {
           beneficiary;
           transit;
-          dest = z;
+          dest = Compact.id topo z;
           reroutable;
           reroute_from;
           attracted_max = reroutable *. Rng.uniform rng 0.2 0.8;
@@ -169,20 +169,22 @@ let pair_context ~graph ~topo ~seed ~epoch ~max_demands cand =
     Rng.create
       (Hashtbl.hash (seed, epoch, Asn.to_int x, Asn.to_int y, "market-pair"))
   in
-  let x_grant = grant_for topo ~side:iy ~via:ix in
-  let y_grant = grant_for topo ~side:ix ~via:iy in
-  let agreement = Agreement.make_exn graph ~x ~y ~x_grant ~y_grant in
+  let x_offer = offer topo ~side:iy ~via:ix in
+  let y_offer = offer topo ~side:ix ~via:iy in
+  let agreement =
+    Agreement.make_exn graph ~x ~y
+      ~x_grant:(grant_of_offer topo x_offer)
+      ~y_grant:(grant_of_offer topo y_offer)
+  in
   let demands =
-    demands_for ~rng ~max_demands graph ~beneficiary:x ~transit:y
-      ~granted:(Agreement.accessible agreement ~to_:x)
-    @ demands_for ~rng ~max_demands graph ~beneficiary:y ~transit:x
-        ~granted:(Agreement.accessible agreement ~to_:y)
+    demands_for ~rng ~max_demands topo ~beneficiary:ix ~transit:iy y_offer
+    @ demands_for ~rng ~max_demands topo ~beneficiary:iy ~transit:ix x_offer
   in
   let scenario =
     Traffic_model.make_scenario_exn ~graph ~agreement
       ~businesses:
         [ (x, business_of ~seed graph x); (y, business_of ~seed graph y) ]
-      ~baseline:[ (x, baseline_of graph x); (y, baseline_of graph y) ]
+      ~baseline:[ (x, baseline_of topo ix); (y, baseline_of topo iy) ]
       ~demands
   in
   let model = Model_fast.compile scenario in

@@ -15,6 +15,13 @@
       the strategic bargaining outcome; the agreement is {e signed} iff
       the best-response dynamics converged.
 
+    The scoring prefix (grants, demand forecast, baseline flows) reads
+    the frozen CSR [topo]: every degree is an O(1) offset difference, so
+    one side costs O(d log d) for its degree d.  [graph], the mutable
+    mirror of [topo], is used only to validate the agreement and the
+    scenario ([Agreement.make_exn], [Traffic_model.make_scenario_exn])
+    and to build the two business profiles ([Business.of_graph]).
+
     Everything is deterministic per [(seed, epoch, pair)]: randomness
     comes from a pair-keyed generator, never from scheduling, and the
     per-domain arenas ({!arena}) are pure scratch — reusing them across

@@ -441,12 +441,289 @@ let qcheck_enumerate_oracle =
               agrees (run ()) && agrees (run ~pool ()) && agrees (faulty ()))
             ks))
 
+(* ------------------------------------------------------------------ *)
+(* CSR econ prefix ≡ the Graph-based oracle, bit for bit               *)
+
+(* Corner cases the oracle saw, so a deterministic case can show the
+   property reaches them: a beneficiary without providers
+   ([reroute_from = None]), a side offered nothing, and equal degrees on
+   both sides of the [max_demands] cut (the tie-break decides which
+   destination is kept). *)
+type corners = {
+  mutable no_provider : int;
+  mutable empty_grant : int;
+  mutable tie_at_cut : int;
+}
+
+let reference_business_of ~seed g x =
+  let open Pan_econ in
+  let rng =
+    Pan_numerics.Rng.create (Hashtbl.hash (seed, Asn.to_int x, "market-biz"))
+  in
+  let uniform = Pan_numerics.Rng.uniform rng in
+  let transit = Pricing.per_usage ~unit_price:(uniform 0.7 1.3) in
+  let stub =
+    if Pan_numerics.Rng.float rng < 0.4 then Pricing.flat_rate ~fee:20.0
+    else Pricing.per_usage ~unit_price:(uniform 1.2 2.5)
+  in
+  let internal = Cost.linear ~rate:(uniform 0.05 0.7) in
+  Business.of_graph ~default_transit:transit ~default_internal:internal
+    ~stub_price:stub g x
+
+let reference_baseline_of g x =
+  let entries =
+    Asn.Set.fold
+      (fun y acc ->
+        let v =
+          2.0 *. sqrt (float_of_int (Graph.degree g x * Graph.degree g y))
+        in
+        (y, v) :: acc)
+      (Graph.neighbors g x) []
+  in
+  let stub_volume = 4.0 +. float_of_int (Graph.degree g x) in
+  Pan_econ.Flows.of_list ((Pan_econ.Flows.stub x, stub_volume) :: entries)
+
+let reference_demands_for ?corners ~rng ~max_demands g ~beneficiary ~transit
+    ~granted =
+  let providers, peers =
+    Asn.Set.partition
+      (fun z -> Asn.Set.mem z (Graph.providers g transit))
+      granted
+  in
+  let by_degree set =
+    Asn.Set.elements set
+    |> List.map (fun z -> (Graph.degree g z, z))
+    |> List.sort (fun (d1, z1) (d2, z2) ->
+           match compare d2 d1 with 0 -> Asn.compare z1 z2 | c -> c)
+    |> List.map snd
+  in
+  let ranked = by_degree providers @ by_degree peers in
+  let dests = List.filteri (fun i _ -> i < max_demands) ranked in
+  let providers_of_b = Graph.providers g beneficiary in
+  let reroute_from =
+    if Asn.Set.is_empty providers_of_b then None
+    else Some (Asn.Set.min_elt providers_of_b)
+  in
+  Option.iter
+    (fun c ->
+      if Asn.Set.is_empty granted then c.empty_grant <- c.empty_grant + 1;
+      if dests <> [] && reroute_from = None then
+        c.no_provider <- c.no_provider + 1;
+      if max_demands > 0 && max_demands < List.length ranked then begin
+        let a = List.nth ranked (max_demands - 1)
+        and b = List.nth ranked max_demands in
+        if
+          Asn.Set.mem a providers = Asn.Set.mem b providers
+          && Graph.degree g a = Graph.degree g b
+        then c.tie_at_cut <- c.tie_at_cut + 1
+      end)
+    corners;
+  let provider_traffic =
+    4.0 *. sqrt (float_of_int (Graph.degree g beneficiary))
+  in
+  List.map
+    (fun z ->
+      let share = Pan_numerics.Rng.uniform rng 0.05 0.3 in
+      let reroutable =
+        if reroute_from = None then 0.0 else provider_traffic *. share
+      in
+      Pan_econ.Traffic_model.
+        {
+          beneficiary;
+          transit;
+          dest = z;
+          reroutable;
+          reroute_from;
+          attracted_max = reroutable *. Pan_numerics.Rng.uniform rng 0.2 0.8;
+        })
+    dests
+
+let reference_score_best model =
+  let open Pan_econ in
+  let econ_ws = Econ_workspace.create () in
+  let n_d = Model_fast.n_demands model in
+  let stride = 2 * n_d in
+  let levels = Negotiate.forecast_levels in
+  let m = Array.length levels in
+  let demands = Traffic_model.demands (Model_fast.scenario model) in
+  let vectors = Array.make (Int.max 1 (m * stride)) 0.0 in
+  List.iteri
+    (fun d (dem : Traffic_model.segment_demand) ->
+      Array.iteri
+        (fun l level ->
+          let base = (l * stride) + (2 * d) in
+          vectors.(base) <- level *. dem.Traffic_model.reroutable;
+          vectors.(base + 1) <- level *. dem.Traffic_model.attracted_max)
+        levels)
+    demands;
+  let out_x, out_y = Econ_workspace.batch_scratch econ_ws m in
+  Model_fast.utilities_batch ~workspace:econ_ws model ~vectors ~m ~out_x
+    ~out_y;
+  let best = ref 0 in
+  for i = 1 to m - 1 do
+    if
+      Nash.surplus ~u_x:out_x.(i) ~u_y:out_y.(i)
+      > Nash.surplus ~u_x:out_x.(!best) ~u_y:out_y.(!best)
+    then best := i
+  done;
+  (out_x.(!best), out_y.(!best))
+
+(* The econ-scoring prefix on the [Asn.Set]-based [Graph.t] mirror
+   instead of the CSR: grants and demand ranking by set operations,
+   degrees by set cardinals.  [topo] only maps the candidate's indices
+   to ASNs. *)
+let score_pair_reference ?corners ~graph ~topo ~seed ~epoch ~max_demands
+    (cand : Candidates.t) =
+  let open Pan_econ in
+  let x = Compact.id topo cand.Candidates.x
+  and y = Compact.id topo cand.Candidates.y in
+  let rng =
+    Pan_numerics.Rng.create
+      (Hashtbl.hash (seed, epoch, Asn.to_int x, Asn.to_int y, "market-pair"))
+  in
+  let grant_for ~side ~via =
+    let keep z =
+      (not (Asn.equal z side))
+      && not (Asn.Set.mem z (Graph.customers graph side))
+    in
+    {
+      Agreement.providers = Asn.Set.filter keep (Graph.providers graph via);
+      peers = Asn.Set.filter keep (Graph.peers graph via);
+      customers = Asn.Set.empty;
+    }
+  in
+  let agreement =
+    Agreement.make_exn graph ~x ~y
+      ~x_grant:(grant_for ~side:y ~via:x)
+      ~y_grant:(grant_for ~side:x ~via:y)
+  in
+  let demands =
+    reference_demands_for ?corners ~rng ~max_demands graph ~beneficiary:x
+      ~transit:y
+      ~granted:(Agreement.accessible agreement ~to_:x)
+    @ reference_demands_for ?corners ~rng ~max_demands graph ~beneficiary:y
+        ~transit:x
+        ~granted:(Agreement.accessible agreement ~to_:y)
+  in
+  let scenario =
+    Traffic_model.make_scenario_exn ~graph ~agreement
+      ~businesses:
+        [
+          (x, reference_business_of ~seed graph x);
+          (y, reference_business_of ~seed graph y);
+        ]
+      ~baseline:
+        [
+          (x, reference_baseline_of graph x); (y, reference_baseline_of graph y);
+        ]
+      ~demands
+  in
+  reference_score_best (Model_fast.compile scenario)
+
+(* Three epochs on one graph.  Each scores up to 60 random unconnected
+   pairs at every [max_demands] with both prefixes and demands equal bits,
+   then signs the top enumerated candidates the way [Market.run] does —
+   [Graph.add_peering] on the mirror, [Link_up] spliced into the engine
+   — so the later epochs score on a spliced CSR that must still mirror
+   [graph]. *)
+let prefix_matches_reference ?corners ~seed g =
+  let module Engine = Pan_service.Engine in
+  let graph = Graph.copy g in
+  let engine = Engine.of_graph ~mode:Engine.Incremental g in
+  let rng = Random.State.make [| seed |] in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let ok = ref true in
+  for epoch = 1 to 3 do
+    let topo = Engine.topology engine in
+    let n = Compact.num_ases topo in
+    (* a random neighbor of [a], or [a] itself if it has none *)
+    let hop a =
+      let k = Random.State.int rng (Int.max 1 (Compact.degree topo a)) in
+      let pick = ref a and i = ref 0 in
+      Compact.iter_neighbors topo a (fun z ->
+          if !i = k then pick := z;
+          incr i);
+      !pick
+    in
+    for _ = 1 to 60 do
+      (* half uniform pairs, half two-hop pairs like the enumerated ones *)
+      let a = Random.State.int rng n in
+      let b =
+        if Random.State.bool rng then hop (hop a) else Random.State.int rng n
+      in
+      if a <> b && not (Compact.connected topo a b) then
+        let cand =
+          { Candidates.x = Int.min a b; y = Int.max a b; gain_x = 0; gain_y = 0 }
+        in
+        List.iter
+          (fun max_demands ->
+            let u_x, u_y =
+              Negotiate.score_pair ~graph ~topo ~seed ~epoch ~max_demands cand
+            and r_x, r_y =
+              score_pair_reference ?corners ~graph ~topo ~seed ~epoch
+                ~max_demands cand
+            in
+            if not (same u_x r_x && same u_y r_y) then ok := false)
+          [ 0; 1; 3; 8 ]
+    done;
+    let signed = Candidates.enumerate ~min_gain:1 ~max_candidates:4 topo in
+    ignore
+      (Engine.apply_batch engine
+         (Array.to_list
+            (Array.map
+               (fun (c : Candidates.t) ->
+                 Engine.Link_up (Engine.Peer (c.Candidates.x, c.Candidates.y)))
+               signed)));
+    Array.iter
+      (fun (c : Candidates.t) ->
+        Graph.add_peering graph
+          (Compact.id topo c.Candidates.x)
+          (Compact.id topo c.Candidates.y))
+      signed
+  done;
+  !ok
+
+let qcheck_score_oracle =
+  QCheck.Test.make ~count:10
+    ~name:
+      "negotiate: CSR scoring prefix = Graph-based oracle, bit-exact, 3 \
+       spliced epochs, max_demands 0/1/3/8"
+    QCheck.(
+      triple (int_range 0 2) (int_range 1 1_000)
+        (pair (int_range 3 8) (int_range 10 40)))
+    (fun (family, seed, (transit, stubs)) ->
+      let g =
+        match family with
+        | 0 -> gen_graph ~n_transit:transit ~n_stub:stubs seed
+        | 1 -> tie_graph ~providers:(Int.min transit 4) ~stubs seed
+        | _ -> Gen.fig1 ()
+      in
+      prefix_matches_reference ~seed g)
+
+(* The property's inputs reach every corner case on fixed graphs. *)
+let test_score_oracle_corners () =
+  let corners = { no_provider = 0; empty_grant = 0; tie_at_cut = 0 } in
+  Alcotest.(check bool) "random graph" true
+    (prefix_matches_reference ~corners ~seed:1 (gen_graph 1));
+  Alcotest.(check bool) "tie-heavy graph" true
+    (prefix_matches_reference ~corners ~seed:1
+       (tie_graph ~providers:3 ~stubs:30 1));
+  (* stub G's only provider F is a customer of C: G offers C nothing *)
+  Alcotest.(check bool) "paper Fig. 1 graph" true
+    (prefix_matches_reference ~corners ~seed:1 (Gen.fig1 ()));
+  Alcotest.(check bool) "a beneficiary without providers" true
+    (corners.no_provider > 0);
+  Alcotest.(check bool) "a side offered nothing" true (corners.empty_grant > 0);
+  Alcotest.(check bool) "equal degrees across the max_demands cut" true
+    (corners.tie_at_cut > 0)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_jobs_equivalence;
     QCheck_alcotest.to_alcotest qcheck_fault_equivalence;
     QCheck_alcotest.to_alcotest qcheck_compare_candidates;
     QCheck_alcotest.to_alcotest qcheck_enumerate_oracle;
+    QCheck_alcotest.to_alcotest qcheck_score_oracle;
     Alcotest.test_case "delta oracle across epochs" `Quick test_delta_oracle;
     Alcotest.test_case "agreements distinct across epochs" `Quick
       test_agreements_distinct;
@@ -457,4 +734,6 @@ let suite =
     Alcotest.test_case "nash-peering qualifier = coalition oracle" `Quick
       test_qualifier_oracle;
     Alcotest.test_case "both-mode arms consistent" `Quick test_both_mode_arms;
+    Alcotest.test_case "scoring oracle reaches its corner cases" `Quick
+      test_score_oracle_corners;
   ]
