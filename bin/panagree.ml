@@ -70,11 +70,21 @@ let retries_arg =
   in
   Arg.(value & opt nonneg_int 0 & info [ "retries" ] ~doc ~docv:"N")
 
+(* Exit status of a run cut short by --deadline. *)
+let deadline_exit = 3
+
 let deadline_arg =
   let doc =
-    "Abort the run once $(docv) seconds of wall clock have elapsed \
-     (checked cooperatively at chunk boundaries; honors \
-     PANAGREE_VCLOCK)."
+    Printf.sprintf
+      "Cancel the remaining chunks of a parallel step once $(docv) \
+       seconds of wall clock have elapsed since that step started \
+       (checked cooperatively at chunk boundaries; honors \
+       PANAGREE_VCLOCK).  Each step, such as one epoch's candidate \
+       enumeration, has its own budget.  A run the deadline cuts short \
+       prints one line to standard error (chunks completed out of the \
+       step's total, and the first failed chunk) and exits with status \
+       %d."
+      deadline_exit
   in
   Arg.(value & opt (some pos_float) None
        & info [ "deadline" ] ~doc ~docv:"SECONDS")
@@ -136,25 +146,42 @@ let emit_to path pp =
    was given; then the ambient context is configured for the duration of
    the run and the requested snapshots are emitted afterwards — also when
    the run raises, so a crashed experiment still leaves its partial
-   metrics behind. *)
+   metrics behind.  Every --deadline subcommand runs under [with_obs], so
+   this is the one place a deadline cancellation ends: after the
+   snapshots are written, with a one-line diagnostic and
+   [deadline_exit]. *)
 let with_obs ~metrics ~trace f =
-  match (metrics, trace) with
-  | None, None -> f ()
-  | _ ->
-      Pan_obs.Obs.configure ();
-      Fun.protect
-        ~finally:(fun () ->
-          let m = Pan_obs.Obs.metrics () in
-          let spans = Pan_obs.Obs.spans () in
-          Pan_obs.Obs.disable ();
-          Option.iter
-            (fun p -> emit_to p (fun f -> Pan_obs.Report.pp_metrics_json f m))
-            metrics;
-          Option.iter
-            (fun p ->
-              emit_to p (fun f -> Pan_obs.Report.pp_spans_jsonl f spans))
-            trace)
-        f
+  let module S = Pan_runner.Supervise in
+  try
+    match (metrics, trace) with
+    | None, None -> f ()
+    | _ ->
+        Pan_obs.Obs.configure ();
+        Fun.protect
+          ~finally:(fun () ->
+            let m = Pan_obs.Obs.metrics () in
+            let spans = Pan_obs.Obs.spans () in
+            Pan_obs.Obs.disable ();
+            Option.iter
+              (fun p ->
+                emit_to p (fun f -> Pan_obs.Report.pp_metrics_json f m))
+              metrics;
+            Option.iter
+              (fun p ->
+                emit_to p (fun f -> Pan_obs.Report.pp_spans_jsonl f spans))
+              trace)
+          f
+  with S.Incomplete m ->
+    let first =
+      match m.S.failures with
+      | [] -> ""
+      | f :: _ ->
+          Printf.sprintf ", first failed chunk %d (%s)" f.S.chunk f.S.error
+    in
+    Format.pp_print_flush fmt ();
+    Printf.eprintf "panagree: deadline expired: %d/%d chunks completed%s\n%!"
+      m.S.completed_chunks m.S.total_chunks first;
+    exit deadline_exit
 
 let sample_arg =
   let doc = "Number of sampled source ASes (the paper uses 500)." in

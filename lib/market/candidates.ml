@@ -3,23 +3,6 @@ module Obs = Pan_obs.Obs
 
 type t = { x : int; y : int; gain_x : int; gain_y : int }
 
-(* |(providers(via) ∪ peers(via)) \ customers(side) \ {side}| counted
-   straight off the CSR rows: the two classes are disjoint (a pair is
-   linked in at most one class), so no dedup set is needed, and customer
-   membership is a binary search per element — no bitset allocation on
-   the enumeration hot path. *)
-let gain_via topo ~side ~via =
-  let g = ref 0 in
-  let count z =
-    if z <> side && not (Compact.mem_customer topo side z) then incr g
-  in
-  Compact.iter_providers topo via count;
-  Compact.iter_peers topo via count;
-  !g
-
-let gains topo x y =
-  (gain_via topo ~side:x ~via:y, gain_via topo ~side:y ~via:x)
-
 (* Total gain descending, then (x, y) ascending: a total order, so the
    top-K (and the truncation under it) is deterministic.  The ranking
    sum saturates: adversarial gain counts near [max_int] would wrap the
@@ -39,29 +22,42 @@ let compare_candidates a b =
   | 0 -> ( match Int.compare a.x b.x with 0 -> Int.compare a.y b.y | c -> c)
   | c -> c
 
-(* Per-domain scratch, the same pattern as [Negotiate]'s arenas: three
-   generation-stamped marks over the AS indices.  A source bumps [gen]
-   once and stamps its neighbours and customers; an entry equals [gen]
-   iff it was marked for the current source, so nothing is ever
-   cleared.  The marks are pure scratch: which domain enumerates which
-   source cannot change a result. *)
+(* Per-domain scratch, the same pattern as [Negotiate]'s arenas: two
+   generation-stamped marks over the AS indices plus two wedge counters
+   and the list of the source's distinct 2-hop nodes.  A source bumps
+   [gen] once and stamps its neighbours; an entry equals [gen] iff it
+   was marked for the current source, so nothing is ever cleared — a
+   node's counters are zeroed when it is first stamped [seen].  The
+   scratch is pure: which domain enumerates which source cannot change
+   a result. *)
 type scratch = {
   mutable gen : int;
-  mutable seen : int array;  (** 2-hop nodes already considered *)
+  mutable seen : int array;  (** 2-hop nodes already reached *)
   mutable nbr : int array;  (** the source's neighbours *)
-  mutable cust : int array;  (** the source's customers *)
+  mutable lost_x : int array;  (** |up(y) ∩ cust(x)| per reached [y] *)
+  mutable lost_y : int array;  (** |up(x) ∩ cust(y)| per reached [y] *)
+  mutable reached : int array;  (** the distinct reached [y]s *)
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { gen = 0; seen = [||]; nbr = [||]; cust = [||] })
+      {
+        gen = 0;
+        seen = [||];
+        nbr = [||];
+        lost_x = [||];
+        lost_y = [||];
+        reached = [||];
+      })
 
 let scratch n =
   let s = Domain.DLS.get scratch_key in
   if Array.length s.seen < n then begin
     s.seen <- Array.make n 0;
     s.nbr <- Array.make n 0;
-    s.cust <- Array.make n 0
+    s.lost_x <- Array.make n 0;
+    s.lost_y <- Array.make n 0;
+    s.reached <- Array.make n 0
   end;
   s.gen <- s.gen + 1;
   s
@@ -95,16 +91,51 @@ let rec sift_down above h size i =
 let worse a b = compare_candidates a b > 0
 
 (* Source [x]'s best [k] candidates, sorted, and the number of
-   candidates it saw.  The kept ones sit in a heap whose root is the
-   worst of them.  [connected x y] and [x]'s customer tests are
-   stamp reads; [y]'s side still binary-searches [y]'s customer row. *)
+   candidates it saw.  With [up] = providers ∪ peers and [x], [y]
+   unconnected ([x ∉ up(y)], [y ∉ up(x)]):
+
+     gain_x = |up(y)| - |up(y) ∩ cust(x)|
+     gain_y = |up(x)| - |up(x) ∩ cust(y)|
+
+   and each element [m] of an intersection is the middle of a wedge
+   x–m–y: [m ∈ cust(x)] with [y ∈ cust(m) ∪ peers(m)] for [gain_x],
+   [m ∈ prov(x) ∪ peers(x)] with [y ∈ prov(m)] for [gain_y].  A pair is
+   linked in at most one class, so the 2-hop walk (one class of [m]'s
+   rows at a time) counts every [m] exactly once, and each reached [y]
+   is then scored in O(1) from its row lengths.  The kept candidates sit
+   in a heap whose root is the worst of them. *)
 let top_of_source topo ~min_gain ~k x =
   let s = scratch (Compact.num_ases topo) in
-  let gen = s.gen and seen = s.seen and nbr = s.nbr and cust = s.cust in
+  let gen = s.gen and seen = s.seen and nbr = s.nbr in
+  let lost_x = s.lost_x and lost_y = s.lost_y and reached = s.reached in
   Compact.iter_neighbors topo x (fun m -> nbr.(m) <- gen);
-  Compact.iter_customers topo x (fun c -> cust.(c) <- gen);
-  let gx = ref 0 in
-  let count_x z = if z <> x && cust.(z) <> gen then incr gx in
+  let n_reached = ref 0 in
+  let reach y =
+    let candidate = y > x && nbr.(y) <> gen in
+    if candidate && seen.(y) <> gen then begin
+      seen.(y) <- gen;
+      lost_x.(y) <- 0;
+      lost_y.(y) <- 0;
+      reached.(!n_reached) <- y;
+      incr n_reached
+    end;
+    candidate
+  in
+  let touch y = ignore (reach y) in
+  let bump_x y = if reach y then lost_x.(y) <- lost_x.(y) + 1 in
+  let bump_y y = if reach y then lost_y.(y) <- lost_y.(y) + 1 in
+  Compact.iter_customers topo x (fun m ->
+      Compact.iter_providers topo m touch;
+      Compact.iter_peers topo m bump_x;
+      Compact.iter_customers topo m bump_x);
+  let via_up m =
+    Compact.iter_providers topo m bump_y;
+    Compact.iter_peers topo m touch;
+    Compact.iter_customers topo m touch
+  in
+  Compact.iter_providers topo x via_up;
+  Compact.iter_peers topo x via_up;
+  let up_x = Compact.providers_count topo x + Compact.peers_count topo x in
   let heap = ref [||] and size = ref 0 and found = ref 0 in
   let keep c =
     if !size < k then begin
@@ -122,25 +153,16 @@ let top_of_source topo ~min_gain ~k x =
       sift_down worse !heap !size 0
     end
   in
-  let consider y =
-    if y > x && seen.(y) <> gen then begin
-      seen.(y) <- gen;
-      if nbr.(y) <> gen then begin
-        gx := 0;
-        Compact.iter_providers topo y count_x;
-        Compact.iter_peers topo y count_x;
-        if !gx >= min_gain then begin
-          let gy = gain_via topo ~side:y ~via:x in
-          if gy >= min_gain then begin
-            incr found;
-            keep { x; y; gain_x = !gx; gain_y = gy }
-          end
-        end
-      end
+  for i = 0 to !n_reached - 1 do
+    let y = reached.(i) in
+    let gx =
+      Compact.providers_count topo y + Compact.peers_count topo y - lost_x.(y)
+    and gy = up_x - lost_y.(y) in
+    if gx >= min_gain && gy >= min_gain then begin
+      incr found;
+      keep { x; y; gain_x = gx; gain_y = gy }
     end
-  in
-  Compact.iter_neighbors topo x (fun m ->
-      Compact.iter_neighbors topo m consider);
+  done;
   let run = Array.sub !heap 0 !size in
   Array.sort compare_candidates run;
   (!found, run)

@@ -8,7 +8,8 @@
     keeps the pair universe near-linear instead of quadratic); the gain
     of each side is the §VI mutuality count — the counterparty's
     providers and peers that are not already customers of the gaining
-    side — computed directly on the CSR rows without materializing the
+    side — counted on the 2-hop walk itself (the lost destinations are
+    the middles of the source's wedges) without materializing the
     {!Pan_topology.Path_enum_compact.ma_gain} bitsets.
 
     Enumeration is pure over the immutable frozen view, so it fans out
@@ -27,10 +28,6 @@ type t = {
   gain_x : int;  (** new destinations [x] gains via [y] *)
   gain_y : int;
 }
-
-val gains : Compact.t -> int -> int -> int * int
-(** [(gain_x, gain_y)] of the pair; exact per-side cardinalities of the
-    MA gain sets ([Path_enum_compact.ma_gain] both ways). *)
 
 val compare_candidates : t -> t -> int
 (** Total gain descending, ties broken by ascending [x], then [y] — the
@@ -56,7 +53,10 @@ val enumerate :
     epoch's enumeration.  [retries]/[deadline] supervise the fan-out
     exactly as in {!Pan_runner.Task.map}.
 
-    Cost: a source with [P] candidates costs O(P log K), sources run in
+    Cost: a source with [W] wedges (2-hop walks x–m–y) and [P]
+    candidates costs O(W + P log K): the walk counts both sides' lost
+    destinations per reached [y], each [y] is then scored in O(1) from
+    its row lengths, and no row is re-scanned per pair.  Sources run in
     parallel on per-domain generation-stamped scratch, and the merge
     costs O(n + K log n) on the calling domain for [n] ASes, with
     K = [max_candidates].  Only kept candidates outlive their source's

@@ -148,6 +148,23 @@ let test_negotiate_pair_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* Candidate enumeration invariants                                    *)
 
+(* The per-row gain oracle: |(providers(via) ∪ peers(via)) \
+   customers(side) \ {side}| counted straight off the CSR rows, one
+   binary search into [side]'s customer row per element.  The two
+   classes are disjoint (a pair is linked in at most one class), so no
+   dedup set is needed. *)
+let gain_via topo ~side ~via =
+  let g = ref 0 in
+  let count z =
+    if z <> side && not (Compact.mem_customer topo side z) then incr g
+  in
+  Compact.iter_providers topo via count;
+  Compact.iter_peers topo via count;
+  !g
+
+let gains topo x y =
+  (gain_via topo ~side:x ~via:y, gain_via topo ~side:y ~via:x)
+
 let test_candidates_sound () =
   let g = gen_graph 9 in
   let topo = Compact.freeze g in
@@ -157,7 +174,7 @@ let test_candidates_sound () =
       if c.Candidates.x >= c.Candidates.y then Alcotest.fail "x >= y";
       if Compact.connected topo c.Candidates.x c.Candidates.y then
         Alcotest.fail "candidate pair already connected";
-      let gx, gy = Candidates.gains topo c.Candidates.x c.Candidates.y in
+      let gx, gy = gains topo c.Candidates.x c.Candidates.y in
       Alcotest.(check int) "gain_x" gx c.Candidates.gain_x;
       Alcotest.(check int) "gain_y" gy c.Candidates.gain_y;
       if gx < 2 || gy < 2 then Alcotest.fail "below min_gain";
@@ -341,7 +358,7 @@ let enumerate_reference ~min_gain ~max_candidates topo =
       if y > x && not (Bitset.mem seen y) then begin
         Bitset.unsafe_add seen y;
         if not (Compact.connected topo x y) then begin
-          let gx, gy = Candidates.gains topo x y in
+          let gx, gy = gains topo x y in
           if gx >= min_gain && gy >= min_gain then
             acc := { Candidates.x; y; gain_x = gx; gain_y = gy } :: !acc
         end
@@ -440,6 +457,67 @@ let qcheck_enumerate_oracle =
               in
               agrees (run ()) && agrees (run ~pool ()) && agrees (faulty ()))
             ks))
+
+(* Every wedge kind that decides a gain, on a hand-built graph.  x = AS 1
+   and y = AS 2 are never linked; the middles of their wedges are:
+   - 10, 13: x's customers that are y's providers  (lower gain_x)
+   - 11:     x's customer that is y's peer         (lowers gain_x)
+   - 20:     x's provider that is y's customer     (lowers gain_y)
+   - 21:     x's peer that is y's customer         (lowers gain_y)
+   and wedges that must not count:
+   - 12:     x's customer that is y's customer (y is its provider)
+   - 22:     a shared provider
+   - 23:     a shared peer
+   - 24:     x's provider that is y's peer
+   with 30, 32 (y's providers) and 31 (x's peer) outside any wedge.
+   up(y) = {10,13,22,30,32} ∪ {11,23,24} loses {10,11,13} to cust(x):
+   gain_x = 8 - 3 = 5.  up(x) = {20,22,24} ∪ {21,23,31} loses {20,21}
+   to cust(y): gain_y = 6 - 2 = 4.  The sides differ, so swapped
+   counters show. *)
+let test_wedge_kinds () =
+  let g = Graph.create () in
+  let asn = Asn.of_int in
+  let pc p c = Graph.add_provider_customer g ~provider:(asn p) ~customer:(asn c)
+  and peer a b = Graph.add_peering g (asn a) (asn b) in
+  List.iter (fun c -> pc 1 c) [ 10; 11; 12; 13 ];
+  List.iter (fun p -> pc p 1) [ 20; 22; 24 ];
+  List.iter (peer 1) [ 21; 23; 31 ];
+  pc 10 2;
+  pc 13 2;
+  peer 11 2;
+  pc 2 20;
+  pc 2 21;
+  pc 2 12;
+  pc 22 2;
+  peer 23 2;
+  peer 24 2;
+  pc 30 2;
+  pc 32 2;
+  let topo = Compact.freeze g in
+  let x = Compact.index_of_exn topo (asn 1)
+  and y = Compact.index_of_exn topo (asn 2) in
+  Alcotest.(check (pair int int)) "oracle gains" (5, 4) (gains topo x y);
+  Alcotest.(check (pair int int))
+    "|ma_gain| both ways" (5, 4)
+    ( Bitset.cardinal (Path_enum_compact.ma_gain topo x y),
+      Bitset.cardinal (Path_enum_compact.ma_gain topo y x) );
+  let _, total = enumerate_reference ~min_gain:1 ~max_candidates:0 topo in
+  let expect, _ =
+    enumerate_reference ~min_gain:1 ~max_candidates:total topo
+  in
+  let kept = Candidates.enumerate ~min_gain:1 ~max_candidates:total topo in
+  (match
+     Array.find_opt
+       (fun (c : Candidates.t) -> c.Candidates.x = x && c.Candidates.y = y)
+       kept
+   with
+  | None -> Alcotest.fail "pair (x, y) not enumerated"
+  | Some c ->
+      Alcotest.(check (pair int int))
+        "enumerated gains" (5, 4)
+        (c.Candidates.gain_x, c.Candidates.gain_y));
+  Alcotest.(check bool) "enumerate = reference at K = total" true
+    (kept = expect)
 
 (* ------------------------------------------------------------------ *)
 (* CSR econ prefix ≡ the Graph-based oracle, bit for bit               *)
@@ -731,6 +809,8 @@ let suite =
       test_negotiate_pair_deterministic;
     Alcotest.test_case "candidate enumeration sound" `Quick
       test_candidates_sound;
+    Alcotest.test_case "every wedge kind decides its gain" `Quick
+      test_wedge_kinds;
     Alcotest.test_case "nash-peering qualifier = coalition oracle" `Quick
       test_qualifier_oracle;
     Alcotest.test_case "both-mode arms consistent" `Quick test_both_mode_arms;
