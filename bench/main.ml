@@ -26,7 +26,8 @@
 
    Part 7 measures the BOSCO best-response kernel (lib/bosco
    Strategy/Workspace): best-response dynamics with the fast
-   O(W log W) kernel vs the O(W²) reference across choice-set sizes,
+   O(W log W) kernel vs the O(W²) test oracle (test/oracle) across
+   choice-set sizes,
    verifying fingerprint equality (thresholds, rounds, convergence,
    support) and --jobs 1 = --jobs 4 determinism of Service.trials on
    the fly.
@@ -38,9 +39,9 @@
    that the faulty runs actually exercised retries.
 
    Part 9 measures the econ fast kernel (lib/econ Model_fast): the E8
-   method-comparison sweep with the flat SoA utility kernel vs the
-   map-based reference, verifying bit-identical reports and -j1 = -j4
-   fingerprints.
+   method-comparison scenarios with the flat SoA utility kernel vs the
+   map-based test oracle (test/oracle), verifying bit-identical results
+   per scenario and -j1 = -j4 sweep fingerprints.
 
    Part 10 measures versioned topology snapshots (lib/topology
    Snapshot): Snapshot.load of a frozen graph vs re-parsing and
@@ -632,7 +633,7 @@ let bosco_sizes = function
 
 (* Everything the dynamics decide, with thresholds rounded to 9
    significant digits: the fast kernel reassociates prefix sums, so its
-   floats may differ from the reference in the last couple of ulps, but
+   floats may differ from the oracle in the last couple of ulps, but
    both kernels must agree on every decision at this resolution. *)
 let dynamics_fingerprint (eq : Equilibrium.result) =
   let th s =
@@ -645,8 +646,8 @@ let dynamics_fingerprint (eq : Equilibrium.result) =
     eq.Equilibrium.converged )
 
 let bosco_kernel_bench sizes =
-  section "BOSCO kernel: fast O(W log W) vs reference O(W^2) dynamics";
-  Format.fprintf fmt "%-6s %5s %12s %12s %9s  %s@." "W" "reps" "ref (s)"
+  section "BOSCO kernel: fast O(W log W) vs oracle O(W^2) dynamics";
+  Format.fprintf fmt "%-6s %5s %12s %12s %9s  %s@." "W" "reps" "oracle (s)"
     "fast (s)" "speedup" "equal";
   let ok = ref true in
   List.iter
@@ -659,18 +660,20 @@ let bosco_kernel_bench sizes =
       let claims_y = Claim.sample rng dist w in
       let game = Game.{ dist_x = dist; dist_y = dist; claims_x; claims_y } in
       let reps = if w <= 32 then 100 else if w <= 128 then 10 else 1 in
-      let run kernel =
+      let run dynamics =
         let eq = ref None in
         let _, t =
           time (fun () ->
               for _ = 1 to reps do
-                eq := Some (Equilibrium.best_response_dynamics ~kernel game)
+                eq := Some (dynamics game)
               done)
         in
         (Option.get !eq, t)
       in
-      let eq_ref, t_ref = run Equilibrium.Reference in
-      let eq_fast, t_fast = run Equilibrium.Fast in
+      let eq_ref, t_ref = run Pan_oracle.Bosco_oracle.dynamics in
+      let eq_fast, t_fast =
+        run (fun game -> Equilibrium.best_response_dynamics game)
+      in
       let equal = dynamics_fingerprint eq_ref = dynamics_fingerprint eq_fast in
       if not equal then ok := false;
       Format.fprintf fmt "%-6d %5d %12.4f %12.4f %8.2fx  %b@." w reps t_ref
@@ -719,8 +722,7 @@ let emit_snapshot snap =
   Format.fprintf fmt "bench snapshot: %s@." path
 
 (* Part 7 again, instrumented for a snapshot: the -j1/-j4 trial
-   fingerprints must agree, and the fast/reference speedup at the largest
-   smoke size is recorded. *)
+   fingerprints must agree. *)
 let run_bosco_snapshot () =
   let ok_kernel = bosco_kernel_bench (bosco_sizes `Smoke) in
   section "BOSCO kernel: snapshot (BENCH_bosco.json)";
@@ -765,61 +767,92 @@ let methods_fingerprint (r : Methods_exp.report) =
        r.Methods_exp.mean_flow_volume_joint)
 
 let run_econ ~scenarios () =
-  section "Econ kernel: flat Model_fast vs map-based reference (E8 sweep)";
+  section "Econ kernel: flat Model_fast vs map-based oracle (E8 scenarios)";
+  (* Unshared marshalled bytes: equal exactly when the two values have the
+     same shape and every float is bit-identical. *)
+  let same a b =
+    let bytes v = Marshal.to_string v [ Marshal.No_sharing ] in
+    bytes a = bytes b
+  in
   (* Single-scenario microbench: the Nelder-Mead inner loop dominated by
      utility evaluation. *)
   let _, scenario = Pan_econ.Scenario_gen.fig1_scenario () in
   let reps = 20 in
-  let run kernel =
+  let run optimize =
     let r = ref None in
     let _, t =
       time (fun () ->
           for _ = 1 to reps do
-            r :=
-              Some
-                (Pan_econ.Flow_volume_opt.optimize ~kernel ~starts_per_dim:2
-                   scenario)
+            r := Some (optimize scenario)
           done)
     in
     (Option.get !r, t)
   in
-  let r_ref, t_ref1 = run Pan_econ.Model_fast.Reference in
-  let r_fast, t_fast1 = run Pan_econ.Model_fast.Fast in
-  let single_equal =
-    r_ref.Pan_econ.Flow_volume_opt.u_x = r_fast.Pan_econ.Flow_volume_opt.u_x
-    && r_ref.Pan_econ.Flow_volume_opt.u_y = r_fast.Pan_econ.Flow_volume_opt.u_y
-    && r_ref.Pan_econ.Flow_volume_opt.nash
-       = r_fast.Pan_econ.Flow_volume_opt.nash
+  let r_ref, t_ref1 =
+    run (fun s -> Pan_oracle.Econ_oracle.flow_volume ~starts_per_dim:2 s)
   in
+  let r_fast, t_fast1 =
+    run (fun s -> Pan_econ.Flow_volume_opt.optimize ~starts_per_dim:2 s)
+  in
+  let single_equal = same r_ref r_fast in
   Format.fprintf fmt
-    "fig1 flow-volume opt (%d reps): ref %.3f s, fast %.3f s (%.2fx); \
+    "fig1 flow-volume opt (%d reps): oracle %.3f s, fast %.3f s (%.2fx); \
      bit-identical: %b@."
     reps t_ref1 t_fast1 (t_ref1 /. t_fast1) single_equal;
-  (* The full E8 sweep, both kernels, then -j1 vs -j4 on the fast one. *)
-  let run_methods ?pool kernel =
-    time (fun () -> Methods_exp.run ?pool ~scenarios ~seed:3 ~kernel ())
+  (* The E8 scenario stream, drawn as Methods_exp.run draws it (chunk 4,
+     one split generator per chunk), and both methods on every scenario
+     under each kernel, gated bit for bit. *)
+  let g = Gen.fig1 () in
+  let d = Gen.fig1_asn 'D' and e = Gen.fig1_asn 'E' in
+  let stream =
+    List.rev
+      (Pan_runner.Task.map_reduce ~rng:(Rng.create 3) ~n:scenarios ~chunk:4
+         ~f:(fun crng _ ->
+           Pan_econ.Scenario_gen.random_scenario crng g ~x:d ~y:e)
+         ~combine:(fun acc s -> s :: acc)
+         ~init:[] ())
   in
-  let rep_ref, t_ref = run_methods Pan_econ.Model_fast.Reference in
-  let rep_fast, t_fast = run_methods Pan_econ.Model_fast.Fast in
-  let kernels_equal = rep_ref = rep_fast in
+  let sweep compare = time (fun () -> List.map compare stream) in
+  let cmp_ref, t_ref =
+    sweep (fun s -> Pan_oracle.Econ_oracle.compare_methods ~starts_per_dim:2 s)
+  in
+  let cmp_fast, t_fast =
+    sweep (fun s -> Pan_econ.Negotiation.compare_methods ~starts_per_dim:2 s)
+  in
+  let kernels_equal = List.for_all2 same cmp_ref cmp_fast in
   Format.fprintf fmt
-    "E8 sweep (%d scenarios): ref %.3f s, fast %.3f s (%.2fx); reports \
-     identical: %b@."
+    "E8 scenarios (%d): oracle %.3f s, fast %.3f s (%.2fx); every scenario \
+     bit-identical: %b@."
     scenarios t_ref t_fast (t_ref /. t_fast) kernels_equal;
-  let rep_par, t_par =
-    Pan_runner.Pool.with_pool ~domains:4 (fun pool ->
-        run_methods ~pool Pan_econ.Model_fast.Fast)
+  (* The full E8 sweep at -j1 and -j4; its conclusion counts must be the
+     stream's, so the stream above is the one the sweep runs. *)
+  let run_methods ?pool () =
+    time (fun () -> Methods_exp.run ?pool ~scenarios ~seed:3 ())
   in
-  let fp_j1 = methods_fingerprint rep_fast in
-  let fp_j4 = methods_fingerprint rep_par in
+  let rep_j1, t_j1 = run_methods () in
+  let count p = List.length (List.filter p cmp_fast) in
+  let stream_equal =
+    rep_j1.Methods_exp.cash_concluded
+    = count (fun c -> c.Pan_econ.Negotiation.cash.Pan_econ.Cash_opt.concluded)
+    && rep_j1.Methods_exp.flow_volume_concluded
+       = count (fun c ->
+             c.Pan_econ.Negotiation.flow_volume
+               .Pan_econ.Flow_volume_opt.concluded)
+    && rep_j1.Methods_exp.cash_only = count Pan_econ.Negotiation.cash_only
+  in
+  let rep_j4, t_j4 =
+    Pan_runner.Pool.with_pool ~domains:4 (fun pool -> run_methods ~pool ())
+  in
+  let fp_j1 = methods_fingerprint rep_j1 in
+  let fp_j4 = methods_fingerprint rep_j4 in
   let jobs_equal = fp_j1 = fp_j4 in
   Format.fprintf fmt
-    "fast -j1 %.3f s, -j4 %.3f s (%.2fx); fingerprint -j1 %s -j4 %s equal \
-     %b@."
-    t_fast t_par (t_fast /. t_par) fp_j1 fp_j4 jobs_equal;
+    "sweep -j1 %.3f s, -j4 %.3f s (%.2fx); counts match the stream: %b; \
+     fingerprint -j1 %s -j4 %s equal %b@."
+    t_j1 t_j4 (t_j1 /. t_j4) stream_equal fp_j1 fp_j4 jobs_equal;
   emit_snapshot
-    (Pan_obs.Bench_snap.make ~part:"econ" ~wall_s:t_fast
-       ~throughput:(float_of_int scenarios /. t_fast)
+    (Pan_obs.Bench_snap.make ~part:"econ" ~wall_s:t_j1
+       ~throughput:(float_of_int scenarios /. t_j1)
        ~speedup:(t_ref /. t_fast) ~fingerprint:fp_j1 ~jobs:4
        ~meta:
          [
@@ -828,7 +861,7 @@ let run_econ ~scenarios () =
            ("scenarios", string_of_int scenarios);
          ]
        ());
-  single_equal && kernels_equal && jobs_equal
+  single_equal && kernels_equal && stream_equal && jobs_equal
 
 (* ------------------------------------------------------------------ *)
 (* Part 10: versioned topology snapshots (lib/topology Snapshot)       *)

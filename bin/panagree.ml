@@ -62,16 +62,24 @@ let with_jobs jobs f = Pan_runner.Pool.with_pool ~domains:jobs f
 
 type supervision = { retries : int; deadline : float option }
 
-let retries_arg =
-  let doc =
-    "Retry each failed chunk up to $(docv) extra times.  Retried chunks \
-     replay their deterministic RNG split, so a run that recovers from \
-     (injected) faults is byte-identical to a fault-free run."
-  in
-  Arg.(value & opt nonneg_int 0 & info [ "retries" ] ~doc ~docv:"N")
-
 (* Exit status of a run cut short by --deadline. *)
 let deadline_exit = 3
+
+(* Exit status of a run whose injected fault outlived --retries. *)
+let faults_exit = 4
+
+let retries_arg =
+  let doc =
+    Printf.sprintf
+      "Retry each failed chunk up to $(docv) extra times.  Retried chunks \
+       replay their deterministic RNG split, so a run that recovers from \
+       (injected) faults is byte-identical to a fault-free run.  A chunk \
+       whose injected fault is still failing after $(docv) retries ends \
+       the run with one line on standard error (the chunk and its last \
+       attempt) and exit status %d."
+      faults_exit
+  in
+  Arg.(value & opt nonneg_int 0 & info [ "retries" ] ~doc ~docv:"N")
 
 let deadline_arg =
   let doc =
@@ -91,11 +99,15 @@ let deadline_arg =
 
 let faults_arg =
   let doc =
-    "Inject deterministic faults at chunk boundaries.  $(docv) is \
-     comma-separated key=value pairs: seed= (draw seed), rate= (failure \
-     probability per chunk attempt), delay= (seconds), delay-rate=.  \
-     Equivalent to setting the PANAGREE_FAULTS environment variable; \
-     combine with --retries to exercise recovery."
+    Printf.sprintf
+      "Inject deterministic faults at chunk boundaries.  $(docv) is \
+       comma-separated key=value pairs: seed= (draw seed), rate= (failure \
+       probability per chunk attempt), delay= (seconds), delay-rate=.  \
+       Equivalent to setting the PANAGREE_FAULTS environment variable; \
+       combine with --retries to exercise recovery.  A fault the retries \
+       do not absorb exits with status %d after --metrics/--trace are \
+       written."
+      faults_exit
   in
   let fault_conv =
     Arg.conv
@@ -147,9 +159,10 @@ let emit_to path pp =
    the run and the requested snapshots are emitted afterwards — also when
    the run raises, so a crashed experiment still leaves its partial
    metrics behind.  Every --deadline subcommand runs under [with_obs], so
-   this is the one place a deadline cancellation ends: after the
-   snapshots are written, with a one-line diagnostic and
-   [deadline_exit]. *)
+   this is the one place a deadline cancellation or an injected fault
+   that outlived --retries ends: after the snapshots are written, with a
+   one-line diagnostic and [deadline_exit] or [faults_exit].  Any other
+   exception is a bug and propagates. *)
 let with_obs ~metrics ~trace f =
   let module S = Pan_runner.Supervise in
   try
@@ -171,17 +184,26 @@ let with_obs ~metrics ~trace f =
                 emit_to p (fun f -> Pan_obs.Report.pp_spans_jsonl f spans))
               trace)
           f
-  with S.Incomplete m ->
-    let first =
-      match m.S.failures with
-      | [] -> ""
-      | f :: _ ->
-          Printf.sprintf ", first failed chunk %d (%s)" f.S.chunk f.S.error
-    in
-    Format.pp_print_flush fmt ();
-    Printf.eprintf "panagree: deadline expired: %d/%d chunks completed%s\n%!"
-      m.S.completed_chunks m.S.total_chunks first;
-    exit deadline_exit
+  with
+  | S.Incomplete m ->
+      let first =
+        match m.S.failures with
+        | [] -> ""
+        | f :: _ ->
+            Printf.sprintf ", first failed chunk %d (%s)" f.S.chunk f.S.error
+      in
+      Format.pp_print_flush fmt ();
+      Printf.eprintf
+        "panagree: deadline expired: %d/%d chunks completed%s\n%!"
+        m.S.completed_chunks m.S.total_chunks first;
+      exit deadline_exit
+  | Pan_runner.Fault.Injected { chunk; attempt } ->
+      Format.pp_print_flush fmt ();
+      Printf.eprintf
+        "panagree: injected fault not recovered: chunk %d failed on attempt \
+         %d, --retries exhausted\n%!"
+        chunk attempt;
+      exit faults_exit
 
 let sample_arg =
   let doc = "Number of sampled source ASes (the paper uses 500)." in

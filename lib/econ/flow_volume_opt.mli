@@ -24,26 +24,30 @@ type result = {
 }
 
 val optimize :
-  ?kernel:Model_fast.kernel ->
   ?workspace:Econ_workspace.t ->
   ?starts_per_dim:int ->
-  ?max_iter:int ->
   Traffic_model.scenario ->
   result
-(** [kernel] (default [Fast]) selects the objective evaluated inside the
-    Nelder–Mead loop: the {!Model_fast} flat kernel or the original
-    map-based reference.  The two are bit-identical by construction (see
-    {!Model_fast}), so the result does not depend on the choice; the
-    reference is retained as the equivalence oracle.  The reported
-    utilities are always re-evaluated through {!Traffic_model}. *)
+(** Maximize the exact-penalty Nash objective
+    ({!Model_fast.nash_objective}) inside the Nelder–Mead loop.  The
+    reported utilities are re-evaluated through {!Traffic_model}. *)
 
 val optimize_compiled :
   ?workspace:Econ_workspace.t ->
   ?starts_per_dim:int ->
-  ?max_iter:int ->
   Model_fast.t ->
   result
-(** Fast-kernel optimization of an already-compiled scenario (shares the
+(** {!optimize} on an already-compiled scenario (shares the
     compilation with other per-scenario work, e.g. {!Negotiation}). *)
+
+val optimize_with :
+  ?starts_per_dim:int ->
+  objective:(float array -> float) ->
+  Traffic_model.scenario ->
+  result
+(** The multistart Nelder–Mead driver behind {!optimize}, maximizing any
+    [objective] over the flat decision vector [[r_0; a_0; r_1; a_1; ...]]
+    (demand order).  Exposed so a test oracle can drive the same search
+    with an independently computed objective. *)
 
 val pp : Format.formatter -> result -> unit

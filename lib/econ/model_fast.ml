@@ -1,8 +1,6 @@
 open Pan_topology
 module Obs = Pan_obs.Obs
 
-type kernel = Fast | Reference
-
 (* One Flows.add performed by Traffic_model.apply_segment, precompiled to
    a slot index in the party's flat flow buffer. *)
 type op_kind = Volume | Attracted | Neg_reroute
@@ -234,7 +232,10 @@ let utilities_exn ?workspace t choices =
   | Ok r -> r
   | Error e -> invalid_arg ("Model_fast.utilities_exn: " ^ e)
 
-(* The exact-penalty objective of Flow_volume_opt, on the fast path. *)
+(* The exact-penalty objective of Flow_volume_opt: feasible points score
+   their Nash product, infeasible points the (negative) worst utility,
+   which is continuous across the boundary and pushes the simplex back
+   into the feasible region. *)
 let nash_objective ?workspace t v =
   if Array.length v <> 2 * t.n_demands then
     invalid_arg "Model_fast.nash_objective: bad vector length";

@@ -10,17 +10,14 @@
     op.  Evaluation then blits the baseline, applies the ops, and folds
     the pricing terms — no allocation beyond (reused) scratch.
 
-    The kernel is {e bit-identical} to the reference path, not merely
-    close: slot updates, clamping, fold orders and tolerances replicate
-    {!Traffic_model.apply} and {!Business.utility} operation for
-    operation, and slots the reference map omits hold exact [0.0] (an
-    identity under float addition here).  The qcheck suite in
-    [test_econ_fast.ml] pins this equivalence. *)
-
-type kernel = Fast | Reference
-(** Which evaluation path call sites use ({!Flow_volume_opt},
-    {!Cash_opt}, {!Negotiation}).  [Reference] keeps the original
-    map-based implementation alive as an oracle. *)
+    The kernel is {e bit-identical} to the map-based {!Traffic_model}
+    path, not merely close: slot updates, clamping, fold orders and
+    tolerances replicate {!Traffic_model.apply} and {!Business.utility}
+    operation for operation, and slots the map omits hold exact [0.0]
+    (an identity under float addition here).  {!Flow_volume_opt},
+    {!Cash_opt} and {!Negotiation} evaluate through it; the map path is
+    their test oracle, and the qcheck suite in [test_econ_fast.ml] pins
+    the equivalence. *)
 
 type t
 (** A scenario compiled for repeated evaluation. *)
@@ -49,9 +46,10 @@ val utilities_vector :
     optimizer's layout) — no per-evaluation choice-list allocation. *)
 
 val nash_objective : ?workspace:Econ_workspace.t -> t -> float array -> float
-(** The exact-penalty Nash objective of {!Flow_volume_opt} on the fast
-    path: [neg_infinity] on an infeasible vector, the (negative) worst
-    utility when some party loses, the Nash product otherwise.
+(** The exact-penalty Nash objective of {!Flow_volume_opt}, evaluated on
+    the flat buffers: [neg_infinity] on an infeasible vector, the
+    (negative) worst utility when some party loses, the Nash product
+    otherwise.
     @raise Invalid_argument on a vector of the wrong length. *)
 
 val utilities_batch :

@@ -1,12 +1,13 @@
-(* The fast (unboxed, SoA) econ kernels against the reference
-   map-based oracle: qcheck equivalence over randomized scenarios and
-   decision vectors, degenerate cases, batch Nash helpers, and a
-   hex-float golden pinning the Reference optimizer output across the
+(* The fast (unboxed, SoA) econ kernels against the map-based oracle
+   (Pan_oracle.Econ_oracle): qcheck equivalence over randomized
+   scenarios and decision vectors, degenerate cases, batch Nash helpers,
+   and a hex-float golden pinning the oracle optimizer output across the
    kernel swap. *)
 
 open Pan_topology
 open Pan_numerics
 open Pan_econ
+module Oracle = Pan_oracle.Econ_oracle
 
 let tol = 1e-12
 
@@ -75,15 +76,7 @@ let qcheck_nash_objective_equals_reference =
                [| c.Traffic_model.reroute; c.Traffic_model.attracted |])
              choices)
       in
-      let fast = Model_fast.nash_objective model vector in
-      let reference =
-        match Traffic_model.utilities s choices with
-        | Error _ -> neg_infinity
-        | Ok (ux, uy) ->
-            let worst = Float.min ux uy in
-            if worst < 0.0 then worst else ux *. uy
-      in
-      fast = reference)
+      Model_fast.nash_objective model vector = Oracle.nash_objective s vector)
 
 (* ------------------------------------------------------------------ *)
 (* Unit: exact equality on the worked examples and degenerate cases    *)
@@ -248,12 +241,12 @@ let test_flows_sorted_arrays_roundtrip () =
     [ d 'A'; d 'B'; d 'F'; d 'H' ]
 
 (* ------------------------------------------------------------------ *)
-(* Golden: the Reference optimizer across the kernel swap              *)
+(* Golden: the optimizers across the kernel swap                       *)
 
-(* Captured from Flow_volume_opt.optimize ~kernel:Reference on
-   fig1_scenario BEFORE the fast kernel became the default (hex
-   literals: exact bytes).  The Reference path must still reproduce them
-   bit-for-bit; the Fast path must match it exactly (the kernels are
+(* Captured from the map-based flow-volume optimizer on fig1_scenario
+   BEFORE the fast kernel became the default (hex literals: exact
+   bytes).  The oracle must still reproduce them bit-for-bit; the
+   production optimizers must match them exactly (the kernels are
    bit-identical, so the optimizer walks the same simplex). *)
 let golden_u_x = 0x1.62e158731b5dcp+2
 let golden_u_y = 0x1.429e31eb23a18p+2
@@ -277,17 +270,16 @@ let check_fv_result (r : Flow_volume_opt.result) =
 
 let test_golden_optimize_both_kernels () =
   let _, s = Scenario_gen.fig1_scenario () in
-  check_fv_result (Flow_volume_opt.optimize ~kernel:Model_fast.Reference s);
-  check_fv_result (Flow_volume_opt.optimize ~kernel:Model_fast.Fast s);
+  check_fv_result (Oracle.flow_volume s);
+  check_fv_result (Flow_volume_opt.optimize s);
   let gx, gy, gt = golden_cash in
   List.iter
-    (fun kernel ->
-      let c = Cash_opt.optimize ~kernel s in
+    (fun (c : Cash_opt.result) ->
       Alcotest.(check bool) "cash concluded" true c.Cash_opt.concluded;
       check_bits "cash u_x" gx c.Cash_opt.u_x;
       check_bits "cash u_y" gy c.Cash_opt.u_y;
       check_bits "cash transfer" gt c.Cash_opt.transfer)
-    [ Model_fast.Reference; Model_fast.Fast ]
+    [ Oracle.cash s; Cash_opt.optimize s ]
 
 let suite =
   [

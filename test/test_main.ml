@@ -53,4 +53,5 @@ let () =
       ("service.serve", Test_serve.suite);
       ("intent", Test_intent.suite);
       ("market", Test_market.suite);
+      ("robustness.decoders", Test_decoders.suite);
     ]

@@ -1,9 +1,11 @@
-(* The fast best-response kernel against the reference oracle, the
-   prefix-sum helpers behind it, and a byte-level golden pinning the
-   Reference pipeline to its pre-kernel-swap output. *)
+(* The fast best-response kernel against the O(W²) oracle
+   (Pan_oracle.Bosco_oracle), the prefix-sum helpers behind it, and a
+   byte-level golden pinning the oracle pipeline to its pre-kernel-swap
+   output. *)
 
 open Pan_numerics
 open Pan_bosco
+module Oracle = Pan_oracle.Bosco_oracle
 
 let tol = 1e-12
 
@@ -53,7 +55,7 @@ let test_lower_bound () =
   Alcotest.(check int) "restricted hi" 2 (Prefix.lower_bound ~lo:1 ~hi:2 xs 9.0)
 
 (* ------------------------------------------------------------------ *)
-(* Fast kernel ≡ reference oracle                                      *)
+(* Fast kernel ≡ oracle                                                *)
 
 let dist_of_pick pick =
   match pick mod 4 with
@@ -102,8 +104,8 @@ let qcheck_fast_equals_reference =
       let ok = ref true in
       for _ = 0 to 2 do
         let reference =
-          Strategy.best_response_reference ~opponent_dist:dist_opp
-            ~opponent:!opponent own
+          Oracle.best_response ~opponent_dist:dist_opp ~opponent:!opponent
+            own
         in
         let fast =
           Strategy.best_response ~workspace:ws ~opponent_dist:dist_opp
@@ -115,11 +117,11 @@ let qcheck_fast_equals_reference =
                (Strategy.thresholds reference)
                (Strategy.thresholds fast))
         then ok := false;
-        (* next round: the roles flip, using the reference response so
+        (* next round: the roles flip, using the oracle response so
            both kernels keep seeing identical inputs *)
         opponent :=
-          Strategy.best_response_reference ~opponent_dist:dist_own
-            ~opponent:reference opp_claims
+          Oracle.best_response ~opponent_dist:dist_own ~opponent:reference
+            opp_claims
       done;
       !ok)
 
@@ -128,9 +130,7 @@ let test_degenerate_cancel_only () =
   let opp = Strategy.truthful_rounding (Claim.of_list [ 0.4; -0.2 ]) in
   let dist = Distribution.uniform (-1.0) 1.0 in
   let fast = Strategy.best_response ~opponent_dist:dist ~opponent:opp own in
-  let reference =
-    Strategy.best_response_reference ~opponent_dist:dist ~opponent:opp own
-  in
+  let reference = Oracle.best_response ~opponent_dist:dist ~opponent:opp own in
   Alcotest.(check bool) "W=1 equal" true (Strategy.equal ~tol fast reference);
   Alcotest.(check (array (float 0.0)))
     "W=1 thresholds" [| neg_infinity; infinity |]
@@ -169,8 +169,8 @@ let u1 = Distribution.uniform (-1.0) 1.0
 
 (* (pod, rounds, converged, choices_x, choices_y) captured from
    Service.trials BEFORE the fast kernel existed (hex literals: exact
-   bytes).  The Reference kernel must still reproduce them bit-for-bit;
-   the Fast kernel must agree on every decision and match pod to 1e-12. *)
+   bytes).  The oracle kernel must still reproduce them bit-for-bit; the
+   fast kernel must agree on every decision and match pod to 1e-12. *)
 let golden_random =
   [
     (0x1.228c0ab948108p-2, 19, true, 3, 3);
@@ -206,36 +206,95 @@ let check_reports ~exact golden reports =
       Alcotest.(check int) (ctx "choices_y") cy r.Service.equilibrium_choices_y)
     (List.combine golden reports)
 
-let random_trials kernel =
-  Service.trials ~kernel ~rng:(Rng.create 42) ~dist_x:u1 ~dist_y:u1 ~w:12 ~n:6
-    ()
+let random_trials () =
+  Service.trials ~rng:(Rng.create 42) ~dist_x:u1 ~dist_y:u1 ~w:12 ~n:6 ()
 
-let grid_trials kernel =
-  Service.trials ~construction:Service.Grid ~kernel ~rng:(Rng.create 7)
+let grid_trials () =
+  Service.trials ~construction:Service.Grid ~rng:(Rng.create 7)
     ~dist_x:(Distribution.uniform (-0.5) 1.0)
     ~dist_y:u1 ~w:9 ~n:4 ()
 
+(* Service.trials draws its games independently of the best-response
+   kernel, so the oracle replays each report's game and scores its
+   equilibrium exactly as Service.negotiate does. *)
+let oracle_report (r : Service.report) =
+  let game = r.Service.game in
+  let truthful =
+    Efficiency.expected_nash_truthful
+      Game.
+        { game with claims_x = Claim.of_list []; claims_y = Claim.of_list [] }
+  in
+  let eq = Oracle.dynamics game in
+  let sx = eq.Equilibrium.strategy_x and sy = eq.Equilibrium.strategy_y in
+  {
+    r with
+    Service.strategy_x = sx;
+    strategy_y = sy;
+    pod = Efficiency.price_of_dishonesty ~truthful game sx sy;
+    rounds = eq.Equilibrium.rounds;
+    converged = eq.Equilibrium.converged;
+    equilibrium_choices_x = Strategy.support_size game.Game.dist_x sx;
+    equilibrium_choices_y = Strategy.support_size game.Game.dist_y sy;
+  }
+
 let test_golden_reference_exact () =
   check_reports ~exact:true golden_random
-    (random_trials Equilibrium.Reference);
-  check_reports ~exact:true golden_grid (grid_trials Equilibrium.Reference)
+    (List.map oracle_report (random_trials ()));
+  check_reports ~exact:true golden_grid
+    (List.map oracle_report (grid_trials ()))
 
 let test_golden_fast_close () =
-  check_reports ~exact:false golden_random (random_trials Equilibrium.Fast);
-  check_reports ~exact:false golden_grid (grid_trials Equilibrium.Fast)
+  check_reports ~exact:false golden_random (random_trials ());
+  check_reports ~exact:false golden_grid (grid_trials ())
 
 let test_kernels_same_verdict () =
-  (* is_equilibrium must agree with the dynamics' own fixed point under
-     either kernel (shared predicate). *)
+  (* Each kernel's is_equilibrium must agree with its own dynamics' fixed
+     point, and the fast check must accept the oracle's equilibria. *)
   List.iter
-    (fun kernel ->
-      List.iter
-        (fun (r : Service.report) ->
-          Alcotest.(check bool) "verify" r.Service.converged
-            (Equilibrium.is_equilibrium ~kernel r.Service.game
-               r.Service.strategy_x r.Service.strategy_y))
-        (random_trials kernel))
-    [ Equilibrium.Fast; Equilibrium.Reference ]
+    (fun (r : Service.report) ->
+      Alcotest.(check bool) "verify fast" r.Service.converged
+        (Equilibrium.is_equilibrium r.Service.game r.Service.strategy_x
+           r.Service.strategy_y);
+      let o = oracle_report r in
+      Alcotest.(check bool) "verify oracle" o.Service.converged
+        (Oracle.is_equilibrium o.Service.game o.Service.strategy_x
+           o.Service.strategy_y);
+      Alcotest.(check bool) "fast verifies oracle" o.Service.converged
+        (Equilibrium.is_equilibrium o.Service.game o.Service.strategy_x
+           o.Service.strategy_y))
+    (random_trials ())
+
+(* ------------------------------------------------------------------ *)
+(* Whole dynamics: fast ≡ oracle                                       *)
+
+(* Every decision of best-response dynamics — rounds, convergence and
+   both equilibrium strategies — must agree between the kernels on random
+   games, not just single responses: a reassociation error that flipped a
+   fixed-point test or an envelope crossing would show up here. *)
+let qcheck_dynamics_equal_oracle =
+  QCheck.Test.make ~count:150
+    ~name:"fast dynamics = oracle dynamics (rounds, 1e-12)"
+    QCheck.(triple (int_range 1 10_000) (int_range 1 40) bool)
+    (fun (seed, w, gaussian) ->
+      let rng = Rng.create seed in
+      let dist_x, dist_y =
+        if gaussian then
+          (Distribution.gaussian 0.1 0.6, Distribution.gaussian (-0.1) 0.8)
+        else (Distribution.uniform (-1.0) 1.0, Distribution.uniform (-0.3) 1.7)
+      in
+      let claims_x = Claim.sample rng dist_x w in
+      let claims_y = Claim.sample rng dist_y w in
+      let game = Game.{ dist_x; dist_y; claims_x; claims_y } in
+      let fast = Equilibrium.best_response_dynamics game in
+      let oracle = Oracle.dynamics game in
+      fast.Equilibrium.rounds = oracle.Equilibrium.rounds
+      && fast.Equilibrium.converged = oracle.Equilibrium.converged
+      && thresholds_close
+           (Strategy.thresholds oracle.Equilibrium.strategy_x)
+           (Strategy.thresholds fast.Equilibrium.strategy_x)
+      && thresholds_close
+           (Strategy.thresholds oracle.Equilibrium.strategy_y)
+           (Strategy.thresholds fast.Equilibrium.strategy_y))
 
 let suite =
   [
@@ -256,4 +315,6 @@ let suite =
       test_golden_fast_close;
     Alcotest.test_case "is_equilibrium consistent across kernels" `Quick
       test_kernels_same_verdict;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      qcheck_dynamics_equal_oracle;
   ]
